@@ -7,8 +7,10 @@
 // Throughput comparison for the batch evaluation layer: elements/cycle of
 // the per-call scalar loop vs evalBatch under the forced-scalar kernels
 // and under the active ISA (AVX2 where compiled in and supported), per
-// function and scheme, over a dense sweep of in-range inputs. The batch
-// contract is bit-identity, so this benchmark is purely about speed; the
+// function and scheme, over a dense sweep of in-range inputs. A further
+// column times the encodings-out form, rfp::evalBatch into float32
+// round-to-nearest encodings, so the output rounding stage stays measured
+// next to the H-only kernels. The batch contract is bit-identity, so this benchmark is purely about speed; the
 // separate --verify mode sweeps 2^bits consecutive-stride inputs per
 // function/scheme (default 2^28) and bit-compares every H against the
 // scalar core, exiting nonzero on the first mismatching variant.
@@ -22,6 +24,7 @@
 #include "JsonWriter.h"
 
 #include "libm/Batch.h"
+#include "libm/rfp.h"
 #include "libm/rlibm.h"
 
 #include <cmath>
@@ -129,11 +132,30 @@ double measureBatch(BatchISA ISA, ElemFunc F, EvalScheme S,
   return static_cast<double>(Best) / In.size();
 }
 
+/// Cycles per element for one rfp::evalBatch call into float32
+/// round-to-nearest encodings: the active-ISA H kernels plus the output
+/// rounding stage.
+double measureEnc(ElemFunc F, EvalScheme S, const std::vector<float> &In,
+                  std::vector<uint64_t> &Enc, double &Sink, int Repeats = 5) {
+  const VariantKey K{F, S, FPFormat::float32(), RoundingMode::NearestEven};
+  uint64_t Best = ~0ull;
+  for (int R = 0; R < Repeats; ++R) {
+    uint64_t T0 = readCycles();
+    rfp::evalBatch(K, In.data(), Enc.data(), In.size());
+    uint64_t T1 = readCycles();
+    Sink += static_cast<double>(Enc[In.size() / 2]);
+    if (T1 - T0 < Best)
+      Best = T1 - T0;
+  }
+  return static_cast<double>(Best) / In.size();
+}
+
 struct Row {
   bool Available = false;
   double PerCallCyc = 0;  // per-call loop, cycles/element
   double ScalarCyc = 0;   // batch, forced scalar kernels
   double ActiveCyc = 0;   // batch, active ISA
+  double EncCyc = 0;      // rfp::evalBatch to fp32/rn encodings
 };
 
 void writeJson(const std::string &Path, double Overhead, double CyclesPerNs,
@@ -162,6 +184,7 @@ void writeJson(const std::string &Path, double Overhead, double CyclesPerNs,
       W.kvFixed("percall_cycles_per_elem", R.PerCallCyc, 3);
       W.kvFixed("batch_scalar_cycles_per_elem", R.ScalarCyc, 3);
       W.kvFixed("batch_active_cycles_per_elem", R.ActiveCyc, 3);
+      W.kvFixed("enc_fp32_rn_cycles_per_elem", R.EncCyc, 3);
       W.kvSci("batch_active_elems_per_sec", CyclesPerNs * 1e9 / R.ActiveCyc,
               3);
       W.kvFixed("speedup_active_vs_percall", R.PerCallCyc / R.ActiveCyc, 3);
@@ -262,15 +285,17 @@ int main(int Argc, char **Argv) {
   char ActiveCol[16];
   std::snprintf(ActiveCol, sizeof(ActiveCol), "batch-%s",
                 batchISAName(activeBatchISA()));
-  std::printf("%-8s %-10s %10s %12s %12s | %9s %9s\n", "f(x)", "scheme",
-              "percall", "batch-scal", ActiveCol, "vs-call", "scal/call");
-  std::printf("%-8s %-10s %10s %12s %12s | %9s %9s\n", "", "", "(cyc)",
-              "(cyc)", "(cyc)", "(x)", "(x)");
+  std::printf("%-8s %-10s %10s %12s %12s %12s | %9s %9s\n", "f(x)",
+              "scheme", "percall", "batch-scal", ActiveCol, "enc-fp32-rn",
+              "vs-call", "scal/call");
+  std::printf("%-8s %-10s %10s %12s %12s %12s | %9s %9s\n", "", "", "(cyc)",
+              "(cyc)", "(cyc)", "(cyc)", "(x)", "(x)");
 
   for (int FI = 0; FI < 6; ++FI) {
     ElemFunc F = AllElemFuncs[FI];
     std::vector<float> Inputs = buildInputs(F);
     std::vector<double> H(Inputs.size());
+    std::vector<uint64_t> Enc(Inputs.size());
     for (int SI = 0; SI < 4; ++SI) {
       EvalScheme S = static_cast<EvalScheme>(SI);
       Row &R = Rows[FI][SI];
@@ -280,9 +305,10 @@ int main(int Argc, char **Argv) {
       R.PerCallCyc = measurePerCall(F, S, Inputs, Sink);
       R.ScalarCyc = measureBatch(BatchISA::Scalar, F, S, Inputs, H, Sink);
       R.ActiveCyc = measureBatch(activeBatchISA(), F, S, Inputs, H, Sink);
-      std::printf("%-8s %-10s %10.2f %12.2f %12.2f | %8.2fx %8.2fx\n",
+      R.EncCyc = measureEnc(F, S, Inputs, Enc, Sink);
+      std::printf("%-8s %-10s %10.2f %12.2f %12.2f %12.2f | %8.2fx %8.2fx\n",
                   SI == 0 ? elemFuncName(F) : "", evalSchemeName(S),
-                  R.PerCallCyc, R.ScalarCyc, R.ActiveCyc,
+                  R.PerCallCyc, R.ScalarCyc, R.ActiveCyc, R.EncCyc,
                   R.PerCallCyc / R.ActiveCyc, R.PerCallCyc / R.ScalarCyc);
     }
   }

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 using namespace rfp;
@@ -175,19 +176,109 @@ uint64_t FPFormat::roundCore(bool Negative, uint64_t TopBits, int64_t MsbExp,
   return Sign | Q;
 }
 
-uint64_t FPFormat::roundDouble(double V, RoundingMode M) const {
-  if (std::isnan(V))
-    return quietNaN();
-  bool Negative = std::signbit(V);
-  if (std::isinf(V))
-    return Negative ? minusInf() : plusInf();
-  if (V == 0.0)
-    return Negative ? (1ull << (NBits - 1)) : 0;
+namespace {
 
-  int Exp;
-  double Frac = std::frexp(std::fabs(V), &Exp); // |V| = Frac * 2^Exp
-  uint64_t Mant = static_cast<uint64_t>(std::ldexp(Frac, 53));
-  return roundCore(Negative, Mant << 11, Exp - 1, /*ExtraSticky=*/false, M);
+/// Per-call constants of the double -> FP(n, E) rounding body.
+struct DoubleRounder {
+  int64_t MBits;
+  int64_t Bias;
+  int64_t MinExp;
+  int64_t MaxExp;
+  uint64_t SignBit;
+  uint64_t Inf;
+  uint64_t NaN;
+};
+
+/// Rounds one double with integer operations only; see DESIGN.md, "Output
+/// rounding". |V| = Sig * 2^(E - 52) for normal and subnormal doubles
+/// alike (subnormals have E = -1022 and no hidden bit).
+template <RoundingMode M>
+inline uint64_t roundBits(const DoubleRounder &R, double V) {
+  constexpr uint64_t FracMask = (1ull << 52) - 1;
+  constexpr uint64_t Half = 1ull << 63;
+  uint64_t B;
+  std::memcpy(&B, &V, sizeof(B));
+  uint64_t Sign = B >> 63;
+  uint64_t Frac = B & FracMask;
+  int64_t BiasedE = static_cast<int64_t>((B >> 52) & 0x7ff);
+  int64_t E = BiasedE - 1023 + (BiasedE == 0);
+  // One bit below the significand keeps Half a real bit when no bit drops.
+  uint64_t Wide = (Frac | static_cast<uint64_t>(BiasedE != 0) << 52) << 1;
+
+  // Past the largest binade, go on as the largest finite significand plus
+  // more than half an ulp: every mode then rounds to its overflow result.
+  bool Over = E > R.MaxExp;
+  Wide = Over ? (1ull << 54) - 1 : Wide;
+  E = Over ? R.MaxExp : E;
+
+  // The format's ulp sits MBits below max(E, MinExp); past 62 dropped bits
+  // the value is below half an ulp anyway.
+  int64_t Under = std::max<int64_t>(R.MinExp - E, 0);
+  int64_t Shift = std::min<int64_t>(52 - R.MBits + Under, 62) + 1;
+  uint64_t Q = Wide >> Shift;
+  uint64_t Low = Wide << (64 - Shift); // Dropped bits, left-aligned.
+  uint64_t Inexact = Low != 0;
+
+  uint64_t Inc = 0;
+  if constexpr (M == RoundingMode::NearestEven)
+    Inc = (Low > Half) | ((Low == Half) & Q & 1);
+  else if constexpr (M == RoundingMode::NearestAway)
+    Inc = Low >= Half;
+  else if constexpr (M == RoundingMode::Upward)
+    Inc = Inexact & (Sign ^ 1);
+  else if constexpr (M == RoundingMode::Downward)
+    Inc = Inexact & Sign;
+  else if constexpr (M == RoundingMode::ToOdd)
+    Q |= Inexact;
+
+  // Q holds the hidden bit of a normal result, so the exponent field is
+  // one below the biased exponent; a mantissa carry bumps it by itself.
+  uint64_t ExpField =
+      static_cast<uint64_t>(std::max<int64_t>(E + R.Bias - 1, 0));
+  uint64_t Mag = (ExpField << R.MBits) + Q + Inc;
+  Mag = BiasedE == 0x7ff ? R.Inf : Mag;
+  uint64_t Enc = ((0 - Sign) & R.SignBit) | Mag;
+  return BiasedE == 0x7ff && Frac ? R.NaN : Enc;
+}
+
+template <RoundingMode M>
+void roundLoop(const DoubleRounder &R, const double *In, uint64_t *Out,
+               size_t N) {
+  for (size_t I = 0; I < N; ++I)
+    Out[I] = roundBits<M>(R, In[I]);
+}
+
+} // namespace
+
+void FPFormat::roundDoubles(const double *In, uint64_t *Out, size_t N,
+                            RoundingMode M) const {
+  const DoubleRounder R{MBits,
+                        Bias,
+                        minExp(),
+                        maxExp(),
+                        1ull << (NBits - 1),
+                        plusInf(),
+                        quietNaN()};
+  switch (M) {
+  case RoundingMode::NearestEven:
+    return roundLoop<RoundingMode::NearestEven>(R, In, Out, N);
+  case RoundingMode::NearestAway:
+    return roundLoop<RoundingMode::NearestAway>(R, In, Out, N);
+  case RoundingMode::TowardZero:
+    return roundLoop<RoundingMode::TowardZero>(R, In, Out, N);
+  case RoundingMode::Upward:
+    return roundLoop<RoundingMode::Upward>(R, In, Out, N);
+  case RoundingMode::Downward:
+    return roundLoop<RoundingMode::Downward>(R, In, Out, N);
+  case RoundingMode::ToOdd:
+    return roundLoop<RoundingMode::ToOdd>(R, In, Out, N);
+  }
+}
+
+uint64_t FPFormat::roundDouble(double V, RoundingMode M) const {
+  uint64_t Enc;
+  roundDoubles(&V, &Enc, 1, M);
+  return Enc;
 }
 
 uint64_t FPFormat::roundRational(const Rational &V, RoundingMode M) const {

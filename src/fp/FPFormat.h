@@ -24,6 +24,7 @@
 #include "support/Rational.h"
 #include "support/Rounding.h"
 
+#include <cstddef>
 #include <cstdint>
 
 namespace rfp {
@@ -79,8 +80,15 @@ public:
 
   /// Rounds a double into this format under mode \p M. The input double is
   /// treated as an exact real value. Returns an encoding. NaN input yields
-  /// the canonical quiet NaN; signed zeros are preserved.
+  /// the canonical quiet NaN; signed zeros are preserved. The N = 1 case
+  /// of roundDoubles.
   uint64_t roundDouble(double V, RoundingMode M) const;
+
+  /// Rounds \p N doubles into encodings, Out[i] == roundDouble(In[i], M).
+  /// Integer-only and branch-free per element (no dependence on the
+  /// dynamic FP environment); the mode is resolved once per call.
+  void roundDoubles(const double *In, uint64_t *Out, size_t N,
+                    RoundingMode M) const;
 
   /// Convenience: roundDouble followed by decode.
   double roundDoubleToValue(double V, RoundingMode M) const {
@@ -109,9 +117,10 @@ public:
   }
 
 private:
-  /// Shared rounding core: rounds Sign * Mag * 2^MagExp where Mag is an
-  /// integer magnitude with exact RoundBit/Sticky semantics folded in by
-  /// the callers. MsbExp is the exponent of Mag's leading bit in the value.
+  /// Rounding core of roundRational: rounds Sign * Mag * 2^MagExp where Mag
+  /// is an integer magnitude with exact RoundBit/Sticky semantics folded in
+  /// by the caller. MsbExp is the exponent of Mag's leading bit in the
+  /// value.
   uint64_t roundCore(bool Negative, uint64_t TopBits, int64_t MsbExp,
                      bool ExtraSticky, RoundingMode M) const;
 

@@ -80,7 +80,7 @@ EvalResult rfp::eval(const VariantKey &K, float X) {
     FeNearestScope Guard;
     R.H = libm::evalCore(K.Func, K.Scheme, X);
   }
-  R.Enc = libm::roundResult(R.H, K.Format, K.Mode);
+  R.Enc = K.Format.roundDouble(R.H, K.Mode);
   return R;
 }
 
@@ -105,16 +105,14 @@ void rfp::evalBatch(const VariantKey &K, const float *In, uint64_t *Enc,
   Elems.add(N);
   if (H) {
     evalBatchH(K.Func, K.Scheme, In, H, N);
-    for (size_t I = 0; I < N; ++I)
-      Enc[I] = libm::roundResult(H[I], K.Format, K.Mode);
+    K.Format.roundDoubles(H, Enc, N, K.Mode);
     return;
   }
   double Staging[1024];
   while (N > 0) {
     size_t Chunk = N < 1024 ? N : 1024;
     evalBatchH(K.Func, K.Scheme, In, Staging, Chunk);
-    for (size_t I = 0; I < Chunk; ++I)
-      Enc[I] = libm::roundResult(Staging[I], K.Format, K.Mode);
+    K.Format.roundDoubles(Staging, Enc, Chunk, K.Mode);
     In += Chunk;
     Enc += Chunk;
     N -= Chunk;

@@ -32,7 +32,7 @@
 /// double has the RLibm-All property -- rounding it to ANY FP(k, 8) format
 /// with 10 <= k <= 32 under ANY of the five IEEE modes yields the
 /// correctly rounded f(x) for that format and mode. Enc is exactly
-/// roundResult(H, K.Format, K.Mode).
+/// K.Format.roundDouble(H, K.Mode).
 ///
 /// The MultiRound contract (RLibm-MultiRound's scenario): every entry
 /// point in this header returns bit-identical results regardless of the
@@ -46,8 +46,9 @@
 /// by CrossRoundingTest and swept at scale by the verification engine's
 /// FE lanes (tools/verify --fe-lanes).
 ///
-/// Format/mode rounding is integer-only (FPFormat::roundDouble) and never
-/// consults the dynamic environment, so K.Mode selects the *target* IEEE
+/// Format/mode rounding is integer-only (FPFormat::roundDouble, and
+/// FPFormat::roundDoubles for the array forms) and never consults the
+/// dynamic environment, so K.Mode selects the *target* IEEE
 /// rounding of the result and is entirely independent of fesetround.
 ///
 /// Legacy tiers: the free functions in rlibm.h (`exp_estrin_fma`,
@@ -115,7 +116,7 @@ struct EvalResult {
   /// The RLibm-All H value: bit-identical to `<func>_<scheme>(x)` under
   /// the default FP environment.
   double H = 0.0;
-  /// roundResult(H, Format, Mode): an encoding of the key's format.
+  /// K.Format.roundDouble(H, K.Mode): an encoding of the key's format.
   uint64_t Enc = 0;
 };
 

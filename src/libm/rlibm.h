@@ -40,9 +40,9 @@
 ///     fields. Compile with -DRFP_NO_DEPRECATE to silence the attribute
 ///     during the migration release.
 ///   * `evalCore` / `roundResult` -- enum-driven dispatch. DEPRECATED as
-///     public entry points (rfp::eval = FE-guarded evalCore + roundResult);
-///     they remain the referees the tests and the verify engine compare
-///     against, so they carry no attribute.
+///     public entry points (rfp::eval = FE-guarded evalCore +
+///     FPFormat::roundDouble); they remain the referees the tests and the
+///     verify engine compare against, so they carry no attribute.
 ///   * The batch entry points (libm/Batch.h) mirror this tier for arrays;
 ///     their public replacements are rfp::evalBatch / rfp::evalBatchH.
 ///

@@ -18,7 +18,7 @@
 /// **bit-identical** to calling the scalar `<func>_<scheme>(float)` core
 /// per element (inherited from the batch layer's parity contract, pinned
 /// by ServeTest's differential suite), and each encoding is exactly
-/// `roundResult(H, Format, Mode)`. Coalescing therefore never changes a
+/// `Format.roundDouble(H, Mode)`. Coalescing therefore never changes a
 /// single output bit; it only changes *when* work runs.
 ///
 /// Batching policy: a queue is drained when it holds at least
@@ -68,7 +68,7 @@ struct Request {
 struct Result {
   /// H[i] is bit-identical to `<func>_<scheme>(In[i])`.
   std::vector<double> H;
-  /// Enc[i] == roundResult(H[i], Format, Mode): an encoding of Format.
+  /// Enc[i] == Format.roundDouble(H[i], Mode): an encoding of Format.
   std::vector<uint64_t> Enc;
 };
 

@@ -15,19 +15,22 @@
 //      certified fast path in batch form, the exact memoized oracle for
 //      the leftovers. This happens under the default FP environment --
 //      the oracle is the reference, not the thing under test.
-//   2. Precompute the five per-mode wanted encodings from RO_34.
-//   3. Evaluate the base combination (scalar cores, default FE lane) and
-//      run the full five-mode comparison per input, remembering how many
-//      modes misround per input (BaseBad).
+//   2. Precompute the five per-mode wanted encodings from RO_34, one
+//      FPFormat::roundDoubles call per mode over the block (mode-major).
+//   3. Evaluate the base combination (scalar cores, default FE lane),
+//      round it the same way, one mode at a time, and run the full
+//      five-mode comparison per input, remembering how many modes
+//      misround per input (BaseBad).
 //   4. For every other (path, lane) combination: evaluate, bit-compare H
 //      against the base H. Identical bits inherit the base verdict --
 //      count the five comparisons and BaseBad mismatches without
-//      re-rounding. Divergent bits get the full five-mode comparison and
-//      their own mismatch records.
+//      re-rounding. Divergent bits are gathered, rounded per mode, and get
+//      the full five-mode comparison and their own mismatch records, in
+//      input order.
 //
 // FE lanes pin the dynamic rounding mode only around the evaluation call
 // itself: decode, oracle, and comparison all run under the default
-// environment (they are mode-insensitive anyway -- FPFormat::roundDouble
+// environment (they are mode-insensitive anyway -- FPFormat::roundDoubles
 // is integer-only -- but the lane is scoped tightly so the sweep tests
 // exactly the public surface's own guard and nothing else). fesetround is
 // per-thread, so parallel workers' lanes do not interfere.
@@ -42,9 +45,11 @@
 #include "support/ThreadPool.h"
 #include "verify/VerifyStore.h"
 
+#include <algorithm>
 #include <cfenv>
 #include <chrono>
 #include <cstring>
+#include <tuple>
 
 using namespace rfp;
 using namespace rfp::verify;
@@ -254,13 +259,14 @@ UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
       }
     }
 
-    // 2. Wanted encodings for the five modes.
+    // 2. Wanted encodings for the five modes, mode-major: Want[M * N + I].
+    std::vector<double> V34(N);
+    for (size_t I = 0; I < N; ++I)
+      V34[I] = F34.decode(RO[I]);
     std::vector<uint64_t> Want(N * 5);
-    for (size_t I = 0; I < N; ++I) {
-      double V34 = F34.decode(RO[I]);
-      for (unsigned M = 0; M < 5; ++M)
-        Want[I * 5 + M] = Fmt.roundDouble(V34, StandardRoundingModes[M]);
-    }
+    for (unsigned M = 0; M < 5; ++M)
+      Fmt.roundDoubles(V34.data(), Want.data() + M * N, N,
+                       StandardRoundingModes[M]);
 
     auto evalCombo = [&](const PathSpec &P, FeLane L, double *Out) {
       int FeMode = feLaneMode(L);
@@ -289,7 +295,7 @@ UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
       Mismatch M;
       M.XBits = XB[I];
       M.GotEnc = Got;
-      M.WantEnc = Want[I * 5 + ModeIdx];
+      M.WantEnc = Want[ModeIdx * N + I];
       M.Func = static_cast<uint8_t>(U.Func);
       M.Scheme = static_cast<uint8_t>(U.Scheme);
       M.FormatBits = static_cast<uint8_t>(U.FormatBits);
@@ -300,26 +306,45 @@ UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
       R.Records.push_back(M);
     };
 
+    // Rounds Count H values in the five modes (value D is input Idx[D], or
+    // input D without Idx) and lists the misrounds as (input, mode, got),
+    // sorted input-major: the order mismatch records are kept in.
+    std::vector<uint64_t> Got(N);
+    std::vector<std::tuple<size_t, unsigned, uint64_t>> Misses;
+    auto compareModes = [&](const double *Vals, size_t Count,
+                            const size_t *Idx) {
+      Misses.clear();
+      for (unsigned M = 0; M < 5; ++M) {
+        Fmt.roundDoubles(Vals, Got.data(), Count, StandardRoundingModes[M]);
+        for (size_t D = 0; D < Count; ++D) {
+          size_t I = Idx ? Idx[D] : D;
+          if (Got[D] != Want[M * N + I])
+            Misses.emplace_back(I, M, Got[D]);
+        }
+      }
+      R.Comparisons += 5 * Count;
+      std::sort(Misses.begin(), Misses.end());
+    };
+
     // 3. Base combination: full five-mode comparison per input.
     std::vector<double> BaseH(N), H(N);
     std::vector<uint8_t> BaseBad(N, 0);
     evalCombo(Paths[0], Lanes[0], BaseH.data());
-    for (size_t I = 0; I < N; ++I) {
-      for (unsigned M = 0; M < 5; ++M) {
-        uint64_t Got = Fmt.roundDouble(BaseH[I], StandardRoundingModes[M]);
-        ++R.Comparisons;
-        if (Got != Want[I * 5 + M]) {
-          ++BaseBad[I];
-          record(I, Got, M, Paths[0], Lanes[0]);
-        }
-      }
+    compareModes(BaseH.data(), N, nullptr);
+    for (const auto &[I, M, G] : Misses) {
+      ++BaseBad[I];
+      record(I, G, M, Paths[0], Lanes[0]);
     }
     // 4. Every other (path, lane): bit-compare against the base H.
+    std::vector<size_t> Div;
+    std::vector<double> DivH;
     for (size_t PI = 0; PI < Paths.size(); ++PI)
       for (size_t LI = 0; LI < Lanes.size(); ++LI) {
         if (PI == 0 && LI == 0)
           continue;
         evalCombo(Paths[PI], Lanes[LI], H.data());
+        Div.clear();
+        DivH.clear();
         for (size_t I = 0; I < N; ++I) {
           uint64_t HB, BB;
           std::memcpy(&HB, &H[I], 8);
@@ -330,13 +355,12 @@ UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
             R.Mismatches += BaseBad[I];
             continue;
           }
-          for (unsigned M = 0; M < 5; ++M) {
-            uint64_t Got = Fmt.roundDouble(H[I], StandardRoundingModes[M]);
-            ++R.Comparisons;
-            if (Got != Want[I * 5 + M])
-              record(I, Got, M, Paths[PI], Lanes[LI]);
-          }
+          Div.push_back(I);
+          DivH.push_back(H[I]);
         }
+        compareModes(DivH.data(), Div.size(), Div.data());
+        for (const auto &[I, M, G] : Misses)
+          record(I, G, M, Paths[PI], Lanes[LI]);
       }
     return R;
   };

@@ -9,7 +9,8 @@
 // a format's normal range they must agree bit for bit in every mode.
 // Divergence would mean one of the two rounding cores is wrong -- this is
 // the strongest internal consistency check the repository has short of
-// MPFR itself.
+// MPFR itself. The double -> format array body (FPFormat::roundDoubles)
+// is pinned here to give the same encodings under every fesetround mode.
 //
 // The MultiRound suite at the bottom pins the other rounding-environment
 // invariant: the rfp:: public surface returns bit-identical results no
@@ -32,6 +33,7 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <vector>
 
 using namespace rfp;
 
@@ -106,6 +108,38 @@ TEST(CrossRoundingTest, TieCasesAgree) {
       EXPECT_EQ(A, B) << "tie k=" << K << " mode=" << roundingModeName(Md);
     }
   }
+}
+
+/// The array rounding body is integer-only: its encodings do not depend on
+/// the dynamic FP rounding mode the caller has installed.
+TEST(CrossRoundingTest, RoundDoublesIgnoresDynamicRoundingMode) {
+  std::mt19937_64 Rng(77);
+  std::vector<double> In;
+  for (int T = 0; T < 4096; ++T)
+    In.push_back(std::ldexp(static_cast<double>(static_cast<int64_t>(Rng())),
+                            static_cast<int>(Rng() % 360) - 230));
+  for (double X : {0.0, -0.0, 0x1p-149, 0x1.8p-150, 0x1p-1074, HUGE_VAL,
+                   -HUGE_VAL, std::nan(""), 0x1.fffffefp127, -0x1.ffffff8p127})
+    In.push_back(X);
+  const int FeModes[4] = {FE_TONEAREST, FE_UPWARD, FE_DOWNWARD,
+                          FE_TOWARDZERO};
+  for (FPFormat Fmt : {FPFormat::bfloat16(), FPFormat::float32(),
+                       FPFormat::fp34(), FPFormat(24, 11)})
+    for (RoundingMode M : AllModes) {
+      std::vector<uint64_t> Ref(In.size()), Got(In.size());
+      Fmt.roundDoubles(In.data(), Ref.data(), In.size(), M);
+      for (int Fe : FeModes) {
+        const int Saved = std::fegetround();
+        ASSERT_EQ(std::fesetround(Fe), 0);
+        Fmt.roundDoubles(In.data(), Got.data(), In.size(), M);
+        std::fesetround(Saved);
+        for (size_t I = 0; I < In.size(); ++I)
+          ASSERT_EQ(Got[I], Ref[I])
+              << "FP(" << Fmt.totalBits() << "," << Fmt.expBits() << ") "
+              << roundingModeName(M) << " femode=" << Fe
+              << " v=" << std::hexfloat << In[I];
+      }
+    }
 }
 
 //===----------------------------------------------------------------------===//

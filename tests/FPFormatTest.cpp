@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfenv>
 #include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <vector>
 
 using namespace rfp;
 
@@ -201,19 +203,117 @@ TEST(FPFormatTest, SuccPredWalkCoversFormat) {
   EXPECT_GT(Steps, F.encodingCount() / 2);
 }
 
+constexpr RoundingMode AllModes[6] = {
+    RoundingMode::NearestEven, RoundingMode::NearestAway,
+    RoundingMode::TowardZero,  RoundingMode::Upward,
+    RoundingMode::Downward,    RoundingMode::ToOdd};
+
+double fromBits(uint64_t B) {
+  double V;
+  std::memcpy(&V, &B, sizeof(V));
+  return V;
+}
+
+/// Finite nonzero doubles that stress rounding into \p F: random values
+/// over and around its exponent range, exact ties at the round bit (and
+/// their neighbours), half the smallest subnormal, maxFinite +- half an
+/// ulp, and double subnormals. Both signs.
+std::vector<double> differentialInputs(const FPFormat &F, uint64_t Seed) {
+  std::mt19937_64 Rng(Seed);
+  std::vector<double> V;
+  auto addNear = [&](double X) {
+    V.push_back(X);
+    V.push_back(std::nextafter(X, 0.0));
+    V.push_back(std::nextafter(X, HUGE_VAL));
+  };
+  const int Span = F.maxExp() - F.minExp() + static_cast<int>(F.mantBits());
+  for (int T = 0; T < 300; ++T) {
+    int E = static_cast<int>(Rng() % (Span + 8)) + F.minExp() -
+            static_cast<int>(F.mantBits()) - 4;
+    V.push_back(std::ldexp(1.0 + static_cast<double>(Rng() >> 12) * 0x1p-52,
+                           E));
+  }
+  for (int T = 0; T < 200; ++T) {
+    // Midpoint of two adjacent finite values: a tie at the round bit.
+    uint64_t Enc = Rng() % (F.plusInf() - 1);
+    double Lo = F.decode(Enc), Hi = F.decode(Enc + 1);
+    addNear(Lo + (Hi - Lo) / 2);
+  }
+  double Ulp = std::ldexp(1.0, F.maxExp() - static_cast<int>(F.mantBits()));
+  for (double X : {F.minSubnormal() / 2, F.minSubnormal(),
+                   F.minSubnormal() * 1.5, F.maxFinite() + Ulp / 2,
+                   F.maxFinite() - Ulp / 2, F.maxFinite() + Ulp,
+                   F.maxFinite() * 2, DBL_MAX, DBL_MIN})
+    addNear(X);
+  for (int T = 0; T < 50; ++T)
+    V.push_back(fromBits(1 + (Rng() & ((1ull << 52) - 2))));
+  V.push_back(fromBits(1));
+  // FP(n, 11) reaches the top of the double range: drop what overflowed.
+  V.erase(std::remove_if(V.begin(), V.end(),
+                         [](double X) { return !std::isfinite(X); }),
+          V.end());
+  size_t Positive = V.size();
+  for (size_t I = 0; I < Positive; ++I)
+    V.push_back(-V[I]);
+  return V;
+}
+
+/// Differential suite: roundDouble against the exact rounding of the same
+/// value as a Rational, for every FP(k, 8), a few FP(n, 11), all six modes.
 TEST(FPFormatTest, RoundRationalAgreesWithRoundDouble) {
-  FPFormat F = FPFormat::withBits(20);
-  std::mt19937_64 Rng(7);
-  for (int T = 0; T < 5000; ++T) {
-    double V = std::ldexp(static_cast<double>(static_cast<int64_t>(Rng())),
-                          static_cast<int>(Rng() % 80) - 60);
-    if (!std::isfinite(V))
-      continue;
-    Rational R = Rational::fromDouble(V);
-    for (RoundingMode M :
-         {RoundingMode::NearestEven, RoundingMode::TowardZero,
-          RoundingMode::Upward, RoundingMode::Downward, RoundingMode::ToOdd})
-      EXPECT_EQ(F.roundRational(R, M), F.roundDouble(V, M)) << V;
+  std::vector<FPFormat> Formats;
+  for (unsigned K = 10; K <= 34; ++K)
+    Formats.push_back(FPFormat::withBits(K));
+  for (unsigned N : {13u, 24u, 32u, 42u})
+    Formats.emplace_back(N, 11);
+  long Compared = 0;
+  for (const FPFormat &F : Formats) {
+    for (double V : differentialInputs(F, F.totalBits() * 16 + F.expBits())) {
+      Rational R = Rational::fromDouble(V);
+      for (RoundingMode M : AllModes) {
+        ++Compared;
+        ASSERT_EQ(F.roundDouble(V, M), F.roundRational(R, M))
+            << "FP(" << F.totalBits() << "," << F.expBits() << ") "
+            << roundingModeName(M) << " v=" << std::hexfloat << V;
+      }
+    }
+    // Values a Rational cannot carry.
+    const uint64_t SignBit = 1ull << (F.totalBits() - 1);
+    const double NaNs[] = {std::nan(""), -std::nan(""),
+                           fromBits(0x7ff0000000000001ull),
+                           fromBits(0xfff8dead0000beefull)};
+    for (RoundingMode M : AllModes) {
+      EXPECT_EQ(F.roundDouble(0.0, M), 0u);
+      EXPECT_EQ(F.roundDouble(-0.0, M), SignBit);
+      EXPECT_EQ(F.roundDouble(HUGE_VAL, M), F.plusInf());
+      EXPECT_EQ(F.roundDouble(-HUGE_VAL, M), F.minusInf());
+      for (double N : NaNs)
+        EXPECT_EQ(F.roundDouble(N, M), F.quietNaN());
+    }
+  }
+  EXPECT_GT(Compared, 100000);
+}
+
+TEST(FPFormatTest, RoundDoublesMatchesRoundDouble) {
+  std::mt19937_64 Rng(8);
+  for (FPFormat F : {FPFormat::withBits(10), FPFormat::bfloat16(),
+                     FPFormat::float32(), FPFormat::fp34(), FPFormat(42, 11)}) {
+    std::vector<double> Pool = differentialInputs(F, 9);
+    Pool.insert(Pool.end(), {0.0, -0.0, HUGE_VAL, -HUGE_VAL, std::nan("")});
+    for (size_t Len : {0u, 1u, 7u, 513u}) {
+      std::vector<double> In(Len);
+      for (double &X : In)
+        X = Pool[Rng() % Pool.size()];
+      std::vector<uint64_t> Out(Len + 1, 0xabcd);
+      for (RoundingMode M : AllModes) {
+        F.roundDoubles(In.data(), Out.data(), Len, M);
+        for (size_t I = 0; I < Len; ++I)
+          ASSERT_EQ(Out[I], F.roundDouble(In[I], M))
+              << "len " << Len << " i " << I << " mode "
+              << roundingModeName(M);
+        EXPECT_EQ(Out[Len], 0xabcdu) << "wrote past the end";
+      }
+    }
   }
 }
 
