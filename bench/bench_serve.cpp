@@ -12,12 +12,19 @@
 //
 //   uniform  -- all six functions equally, one scheme/format/mode; many
 //               tiny same-variant requests, so coalescing must engage
-//               (CI guards mean_batch_width >= 4 on this scenario).
+//               (CI guards mean_batch_width > 8, the request size, on
+//               this scenario).
 //   skewed   -- 80% of requests hit exp; models a hot-function tenant mix
 //               where one queue saturates while others trickle.
 //   mixed    -- rotating (function, scheme, format, rounding-mode) per
 //               request; worst case for coalescing since requests spread
 //               across many per-variant queues.
+//
+// Each scenario also reports the p50/p99 of the server's per-batch stage
+// histograms (serve.stage_us.*: queue, gather, kernel, round_scatter,
+// fulfil). Those are telemetry histograms with power-of-two buckets, so
+// their quantiles are upper bounds within a factor of two; the registry is
+// reset before each scenario, so --metrics-json dumps the last one.
 //
 // JSON output (--json[=path]) uses the shared Report envelope so CI can
 // validate and archive BENCH_serve.json across PRs.
@@ -29,6 +36,7 @@
 #include "libm/Batch.h"
 #include "libm/rlibm.h"
 #include "serve/Serve.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <chrono>
@@ -106,10 +114,15 @@ Shape mixedMix(size_t Idx) {
   return {F, S, Formats[Idx % 4], StandardRoundingModes[Idx % 5], 16};
 }
 
+const char *const Stages[] = {"queue", "gather", "kernel", "round_scatter",
+                              "fulfil"};
+constexpr int NumStages = 5;
+
 struct ScenarioResult {
   serve::ServerStats Stats;
   double P50Us = 0, P99Us = 0;
   double WallMs = 0, ElemsPerSec = 0;
+  telemetry::HistogramData Stage[NumStages];
 };
 
 /// Pipelined closed loop: keep `Window` requests outstanding; when the
@@ -119,6 +132,7 @@ struct ScenarioResult {
 ScenarioResult runScenario(const Scenario &Sc, const std::vector<float> &Pool,
                            size_t Requests, size_t Window,
                            const serve::ServerOptions &SrvOpts) {
+  telemetry::resetMetrics();
   serve::Server Server(SrvOpts);
   std::vector<double> LatUs;
   LatUs.reserve(Requests);
@@ -161,6 +175,10 @@ ScenarioResult runScenario(const Scenario &Sc, const std::vector<float> &Pool,
     Res.P50Us = LatUs[LatUs.size() / 2];
     Res.P99Us = LatUs[LatUs.size() * 99 / 100];
   }
+  for (int I = 0; I < NumStages; ++I)
+    Res.Stage[I] =
+        telemetry::histogramValue(("serve.stage_us." + std::string(Stages[I]))
+                                      .c_str());
   return Res;
 }
 
@@ -170,8 +188,6 @@ int main(int Argc, char **Argv) {
   bench::ReportOptions Opts;
   size_t Requests = 4000, Window = 64;
   serve::ServerOptions SrvOpts;
-  SrvOpts.TargetBatchElems = 128;
-  SrvOpts.FlushDeadlineUs = 300;
   for (int I = 1; I < Argc; ++I) {
     if (Opts.parse(Argc, Argv, I, "bench_serve.json"))
       continue;
@@ -219,6 +235,16 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(R.Stats.CoalescedBatches),
                 R.P50Us, R.P99Us, R.ElemsPerSec);
   }
+  std::printf("\nper-batch stage p50/p99 (us):\n%-8s", "scenario");
+  for (const char *St : Stages)
+    std::printf(" %15s", St);
+  std::printf("\n");
+  for (int SI = 0; SI < 3; ++SI) {
+    std::printf("%-8s", Scenarios[SI].Name);
+    for (const telemetry::HistogramData &D : Results[SI].Stage)
+      std::printf(" %7.2f/%7.2f", D.P50, D.P99);
+    std::printf("\n");
+  }
 
   if (!Opts.JsonPath.empty()) {
     bench::Report Rep(Opts.JsonPath, "bench_serve");
@@ -227,8 +253,6 @@ int main(int Argc, char **Argv) {
       W.kv("batch_isa", libm::batchISAName(libm::activeBatchISA()));
       W.kv("requests_per_scenario", static_cast<uint64_t>(Requests));
       W.kv("window", static_cast<uint64_t>(Window));
-      W.kv("target_batch_elems", static_cast<uint64_t>(SrvOpts.TargetBatchElems));
-      W.kv("flush_deadline_us", static_cast<uint64_t>(SrvOpts.FlushDeadlineUs));
       W.key("scenarios");
       W.beginArray();
       for (int SI = 0; SI < 3; ++SI) {
@@ -245,6 +269,16 @@ int main(int Argc, char **Argv) {
         W.kvFixed("p99_us", R.P99Us, 1);
         W.kvFixed("wall_ms", R.WallMs, 1);
         W.kvSci("elems_per_sec", R.ElemsPerSec, 3);
+        W.key("stage_us");
+        W.beginObject();
+        for (int I = 0; I < NumStages; ++I) {
+          W.key(Stages[I]);
+          W.beginObject();
+          W.kvFixed("p50", R.Stage[I].P50, 3);
+          W.kvFixed("p99", R.Stage[I].P99, 3);
+          W.endObject();
+        }
+        W.endObject();
         W.endObject();
       }
       W.endArray();

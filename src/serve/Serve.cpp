@@ -15,28 +15,35 @@
 // pointer pushes and drains (no evaluation, no copying), and the whole
 // point of the layer is that kernel work dwarfs queue bookkeeping.
 //
-// Draining. A worker picks the readiest queue (largest backlog first so
-// deep queues drain toward full ISA-width batches), cuts up to
-// MaxBatchElems elements, and releases the lock before touching any
-// element data. It then gathers the slices' inputs into a staging buffer,
-// runs ONE evalBatch over the whole thing, and scatters H back, rounding
-// each slice into its request's format and mode with one
-// FPFormat::roundDoubles call. Each request carries an atomic
-// countdown of unscattered elements; the worker that scatters a request's
-// last slice fulfills its promise. Scatters of different slices of one
-// request write disjoint ranges, so no lock is held during evaluation or
-// scatter.
+// Draining. A queue is ready as soon as it is non-empty (Serve.h,
+// "Batching policy"). A worker picks the deepest queue (so backlogs drain
+// toward full ISA-width batches), cuts up to MaxBatchElems elements, and
+// releases the lock before touching any element data. It then gathers
+// the slices' inputs into a staging buffer, runs ONE evalBatch over the
+// whole thing, scatters H back, rounding each slice into its request's
+// format and mode with one FPFormat::roundDoubles call, and finally
+// fulfils the requests whose last slice it scattered (each request
+// carries an atomic countdown of unscattered elements). Scatters of
+// different slices of one request write disjoint ranges, so no lock is
+// held during evaluation or scatter.
 //
-// Readiness. A queue is ready when it holds TargetBatchElems elements,
-// when its oldest slice has aged past the flush deadline, during flush(),
-// and at shutdown. Workers sleep on a condition variable with a timeout
-// no longer than the earliest pending deadline, so a lone sub-width
-// request waits at most ~FlushDeadlineUs before it runs.
+// Spin, then park. A worker that runs dry polls Queued with the lock
+// released for IdleSpinUs before it parks on WorkCV; at most one worker
+// spins at a time, and none when there are as many workers as cores. A
+// request arriving meanwhile is picked up without a thread wake-up (a few
+// to hundreds of microseconds on a virtualised host).
+//
+// Wake rule. submit() notifies WorkCV only when a worker is parked (Idle)
+// that no earlier notify already targets (Waking), spinner or not: the
+// host may deschedule the spinner's core, and the woken worker is the
+// request's second chance. No wake-up is lost: a worker rescans every
+// queue under the lock before it spins or parks, and after its spin.
+// Spurious wake-ups only make Waking undercount: an extra notify.
 //
 // Shutdown. The destructor marks stopping, wakes everyone, and joins;
-// stopping makes every non-empty queue ready, and workers only exit once
-// all queues are empty, so every accepted future is fulfilled. submit()
-// after shutdown begins fails the future rather than blocking.
+// workers only exit once every queue is empty, so every accepted future
+// is fulfilled. submit() after shutdown begins fails the future rather
+// than blocking.
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +58,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <mutex>
@@ -93,24 +99,37 @@ struct Slice {
 struct VarQueue {
   std::deque<Slice> Slices;
   size_t Elems = 0;
-  /// Arrival time of the front slice (valid while non-empty).
-  Clock::time_point Oldest;
 };
+
+double usBetween(Clock::time_point From, Clock::time_point To) {
+  return std::chrono::duration<double, std::micro>(To - From).count();
+}
+
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
 
 } // namespace
 
 struct Server::Impl {
   ServerOptions Opts;
-  Clock::duration FlushDeadline{};
 
   mutable std::mutex Mu;
-  std::condition_variable WorkCV;     // workers: something may be ready
+  std::condition_variable WorkCV;     // workers: a queue became non-empty
   std::condition_variable CapacityCV; // submitters: space freed
   std::condition_variable IdleCV;     // flush(): drained and quiescent
   VarQueue Queues[NumVariants];
   bool Stopping = false;
-  int Flushing = 0; // flush() calls in progress
   int InFlight = 0; // batches cut but not yet scattered
+  int Idle = 0;     // workers parked on WorkCV
+  int Waking = 0;   // parked workers already targeted by a notify
+  bool MaySpin = false; // fewer workers than cores (Serve.h, IdleSpinUs)
+  int Spinning = 0;     // workers polling Queued (0 or 1)
+  std::atomic<size_t> Queued{0}; // elements in all queues; written under Mu
   std::vector<std::thread> Workers;
 
   // Exact per-server totals (the telemetry registry is process-global).
@@ -126,6 +145,13 @@ struct Server::Impl {
   telemetry::Histogram HDepth = telemetry::histogram("serve.queue_depth");
   telemetry::Histogram HLatency =
       telemetry::histogram("serve.request_latency_us");
+  // Per-batch stage times; see Serve.h for what each stage covers.
+  telemetry::Histogram HQueue = telemetry::histogram("serve.stage_us.queue");
+  telemetry::Histogram HGather = telemetry::histogram("serve.stage_us.gather");
+  telemetry::Histogram HKernel = telemetry::histogram("serve.stage_us.kernel");
+  telemetry::Histogram HRoundScatter =
+      telemetry::histogram("serve.stage_us.round_scatter");
+  telemetry::Histogram HFulfil = telemetry::histogram("serve.stage_us.fulfil");
   telemetry::Counter CFunc[6] = {
       telemetry::counter("serve.requests.exp"),
       telemetry::counter("serve.requests.exp2"),
@@ -136,23 +162,10 @@ struct Server::Impl {
   };
 
   explicit Impl(ServerOptions O) : Opts(O) {
-    unsigned DeadlineUs = Opts.FlushDeadlineUs;
-    if (const char *Env = std::getenv("RFP_SERVE_FLUSH_US")) {
-      char *End = nullptr;
-      long V = std::strtol(Env, &End, 10);
-      if (End != Env && *End == '\0' && V >= 0)
-        DeadlineUs = static_cast<unsigned>(V);
-      else
-        telemetry::logf(telemetry::LogLevel::Warn, "serve",
-                        "ignoring malformed RFP_SERVE_FLUSH_US value \"%s\"",
-                        Env);
-    }
-    FlushDeadline = std::chrono::microseconds(DeadlineUs);
     if (Opts.MaxBatchElems == 0)
       Opts.MaxBatchElems = 1;
-    if (Opts.TargetBatchElems == 0)
-      Opts.TargetBatchElems = 1;
     unsigned N = ThreadPool::resolveThreads(Opts.Threads);
+    MaySpin = N < std::thread::hardware_concurrency();
     Workers.reserve(N);
     for (unsigned I = 0; I < N; ++I)
       Workers.emplace_back([this] { workerLoop(); });
@@ -169,47 +182,44 @@ struct Server::Impl {
       W.join();
   }
 
-  /// True when queue \p V should be drained now.
-  bool ready(const VarQueue &Q, Clock::time_point Now) const {
-    if (Q.Elems == 0)
-      return false;
-    return Stopping || Flushing || Q.Elems >= Opts.TargetBatchElems ||
-           Now - Q.Oldest >= FlushDeadline;
-  }
-
-  bool allIdle() const {
-    if (InFlight > 0)
-      return false;
-    for (const VarQueue &Q : Queues)
-      if (Q.Elems > 0)
-        return false;
-    return true;
-  }
+  bool allIdle() const { return InFlight == 0 && Queued == 0; }
 
   void workerLoop() {
     std::vector<Slice> Batch;
     std::vector<float> Staging;
     std::vector<double> H;
     std::unique_lock<std::mutex> Lock(Mu);
+    bool SpunDry = false; // spun since the last batch: park next time
     for (;;) {
-      Clock::time_point Now = Clock::now();
       int Best = -1;
       for (int V = 0; V < NumVariants; ++V)
-        if (ready(Queues[V], Now) &&
+        if (Queues[V].Elems > 0 &&
             (Best < 0 || Queues[V].Elems > Queues[Best].Elems))
           Best = V;
       if (Best < 0) {
-        if (Stopping && allIdle())
+        if (Stopping)
           return;
-        // Sleep until the earliest pending deadline (or a notify).
-        Clock::time_point Wake = Clock::time_point::max();
-        for (const VarQueue &Q : Queues)
-          if (Q.Elems > 0)
-            Wake = std::min(Wake, Q.Oldest + FlushDeadline);
-        if (Wake == Clock::time_point::max())
-          WorkCV.wait(Lock);
-        else
-          WorkCV.wait_until(Lock, Wake);
+        if (MaySpin && !SpunDry && Spinning == 0) {
+          ++Spinning;
+          Lock.unlock();
+          const Clock::time_point Until =
+              Clock::now() + std::chrono::microseconds(IdleSpinUs);
+          while (Queued.load(std::memory_order_relaxed) == 0 &&
+                 Clock::now() < Until)
+            cpuRelax();
+          // Blocking here would park the spinner behind a submitter.
+          while (!Lock.try_lock())
+            cpuRelax();
+          --Spinning;
+          SpunDry = true;
+          continue;
+        }
+        SpunDry = false;
+        ++Idle;
+        WorkCV.wait(Lock);
+        --Idle;
+        if (Waking > 0)
+          --Waking;
         continue;
       }
 
@@ -231,8 +241,8 @@ struct Server::Impl {
         Cut += Take;
       }
       Q.Elems -= Cut;
-      if (!Q.Slices.empty())
-        Q.Oldest = Now; // remainder restarts its deadline clock
+      Queued.fetch_sub(Cut, std::memory_order_relaxed);
+      SpunDry = false;
       ++InFlight;
       Lock.unlock();
       CapacityCV.notify_all();
@@ -242,31 +252,19 @@ struct Server::Impl {
 
       Lock.lock();
       --InFlight;
-      if (allIdle()) {
+      if (allIdle())
         IdleCV.notify_all();
-        if (Stopping)
-          WorkCV.notify_all(); // release siblings parked on empty queues
-      }
     }
   }
 
-  /// Gather -> one evalBatch -> scatter + round + fulfill. No lock held.
+  /// Gather -> one evalBatch -> round + scatter -> fulfil. No lock held.
   void runBatch(ElemFunc F, EvalScheme S, std::vector<Slice> &Batch,
                 std::vector<float> &Staging, std::vector<double> &H) {
     size_t N = 0;
     for (const Slice &Sl : Batch)
       N += Sl.Len;
-    Staging.resize(N);
-    H.resize(N);
-    size_t At = 0;
-    for (const Slice &Sl : Batch) {
-      std::memcpy(Staging.data() + At, Sl.Req->In + Sl.Off,
-                  Sl.Len * sizeof(float));
-      At += Sl.Len;
-    }
-
-    libm::evalBatch(F, S, Staging.data(), H.data(), N);
-
+    // Before any promise is fulfilled, so stats() read after a get()
+    // already counts the batch that served it.
     CBatches.inc();
     HWidth.record(static_cast<double>(N));
     StatBatches.fetch_add(1, std::memory_order_relaxed);
@@ -275,25 +273,51 @@ struct Server::Impl {
       StatCoalesced.fetch_add(1, std::memory_order_relaxed);
     }
 
+    Clock::time_point T0 = Clock::now();
+    // The front slice is the batch's oldest: queues are FIFO.
+    HQueue.record(usBetween(Batch.front().Req->SubmitTime, T0));
+    Staging.resize(N);
+    H.resize(N);
+    size_t At = 0;
+    for (const Slice &Sl : Batch) {
+      std::memcpy(Staging.data() + At, Sl.Req->In + Sl.Off,
+                  Sl.Len * sizeof(float));
+      At += Sl.Len;
+    }
+    Clock::time_point T1 = Clock::now();
+
+    libm::evalBatch(F, S, Staging.data(), H.data(), N);
+    Clock::time_point T2 = Clock::now();
+
     At = 0;
-    Clock::time_point Done = Clock::now();
-    for (Slice &Sl : Batch) {
+    for (const Slice &Sl : Batch) {
       PendingReq &R = *Sl.Req;
       std::memcpy(R.Res.H.data() + Sl.Off, H.data() + At,
                   Sl.Len * sizeof(double));
       R.Format.roundDoubles(H.data() + At, R.Res.Enc.data() + Sl.Off, Sl.Len,
                             R.Mode);
       At += Sl.Len;
+    }
+    Clock::time_point T3 = Clock::now();
+
+    for (Slice &Sl : Batch) {
+      PendingReq &R = *Sl.Req;
       if (R.Remaining.fetch_sub(Sl.Len, std::memory_order_acq_rel) ==
           Sl.Len) {
         HLatency.record(
             std::chrono::duration_cast<std::chrono::microseconds>(
-                Done - R.SubmitTime)
+                T3 - R.SubmitTime)
                 .count());
         R.Promise.set_value(std::move(R.Res));
       }
       Sl.Req.reset();
     }
+    Clock::time_point T4 = Clock::now();
+
+    HGather.record(usBetween(T0, T1));
+    HKernel.record(usBetween(T1, T2));
+    HRoundScatter.record(usBetween(T2, T3));
+    HFulfil.record(usBetween(T3, T4));
   }
 
   std::future<Result> submit(Request R) {
@@ -329,6 +353,7 @@ struct Server::Impl {
     Req->Remaining.store(R.N, std::memory_order_relaxed);
 
     int V = variantIndex(R.Key.Func, R.Key.Scheme);
+    bool Wake = false;
     {
       std::unique_lock<std::mutex> Lock(Mu);
       VarQueue &Q = Queues[V];
@@ -343,22 +368,23 @@ struct Server::Impl {
             std::runtime_error("serve::Server is shutting down")));
         return Fut;
       }
-      if (Q.Elems == 0)
-        Q.Oldest = Req->SubmitTime;
       Q.Slices.push_back({std::move(Req), 0, R.N});
       Q.Elems += R.N;
+      Queued.fetch_add(R.N, std::memory_order_relaxed);
       HDepth.record(static_cast<double>(Q.Elems));
+      if (Idle > Waking) {
+        ++Waking;
+        Wake = true;
+      }
     }
-    WorkCV.notify_one();
+    if (Wake)
+      WorkCV.notify_one();
     return Fut;
   }
 
   void flush() {
     std::unique_lock<std::mutex> Lock(Mu);
-    ++Flushing;
-    WorkCV.notify_all();
     IdleCV.wait(Lock, [&] { return allIdle(); });
-    --Flushing;
   }
 };
 

@@ -21,18 +21,23 @@
 /// `Format.roundDouble(H, Mode)`. Coalescing therefore never changes a
 /// single output bit; it only changes *when* work runs.
 ///
-/// Batching policy: a queue is drained when it holds at least
-/// TargetBatchElems elements, when its oldest request has waited
-/// FlushDeadlineUs microseconds (RFP_SERVE_FLUSH_US overrides the
-/// default), when flush() is called, or at shutdown. Backpressure is a
-/// bounded per-queue element count: submit() blocks while the target
-/// queue is full (a request larger than the capacity is admitted alone
-/// into an empty queue rather than rejected).
+/// Batching policy: work-conserving. A queue is ready as soon as it is
+/// non-empty, and an idle worker drains the deepest one, so a lone request
+/// runs at once while requests that arrive during a busy spell coalesce
+/// into the next batch -- batch width follows load, with no deadline or
+/// target width to tune. A worker that runs dry may spin for IdleSpinUs
+/// before it parks. Backpressure is a bounded per-queue element
+/// count: submit() blocks while the target queue is full (a request
+/// larger than the capacity is admitted alone into an empty queue rather
+/// than rejected).
 ///
 /// Observability (through support/Telemetry.h): serve.requests{,.<func>},
 /// serve.tenant.<tenant>, serve.elems, serve.batches, serve.batch_width
-/// and serve.queue_depth histograms, serve.batch_coalesced, and the
-/// serve.request_latency_us histogram (p50/p99 via histogramValue).
+/// and serve.queue_depth histograms, serve.batch_coalesced, the
+/// serve.request_latency_us histogram (p50/p99 via histogramValue), and
+/// one serve.stage_us.<stage> sample per batch: queue (age of the
+/// batch's oldest slice when cut), gather, kernel (the evalBatch call),
+/// round_scatter and fulfil (setting the finished requests' promises).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,6 +77,12 @@ struct Result {
   std::vector<uint64_t> Enc;
 };
 
+/// How long a worker that finds every queue empty polls for work before
+/// it parks. One worker at a time spins, and only in a server with fewer
+/// workers than cores (so the spinner never takes the submitter's core):
+/// an idle server keeps at most one core busy, for this long.
+constexpr unsigned IdleSpinUs = 1000;
+
 struct ServerOptions {
   /// Drainer threads; 0 defers to RFP_THREADS / hardware_concurrency()
   /// (ThreadPool::resolveThreads).
@@ -80,12 +91,6 @@ struct ServerOptions {
   size_t QueueCapacityElems = 1 << 16;
   /// Largest element count handed to one evalBatch call.
   size_t MaxBatchElems = 4096;
-  /// Queue depth that triggers an immediate drain.
-  size_t TargetBatchElems = 256;
-  /// Age of the oldest queued request that triggers a drain even below
-  /// TargetBatchElems. The RFP_SERVE_FLUSH_US environment variable
-  /// overrides this default (consulted once, at server construction).
-  unsigned FlushDeadlineUs = 200;
 };
 
 /// Exact per-server totals (the telemetry registry aggregates across all
@@ -119,7 +124,8 @@ public:
   /// with std::runtime_error.
   std::future<Result> submit(Request R);
 
-  /// Synchronously drains everything queued at the time of the call.
+  /// Returns once every queue is empty and no batch is running, so every
+  /// future obtained before the call is ready.
   void flush();
 
   ServerStats stats() const;

@@ -10,8 +10,9 @@
 // core and Enc against roundResult for every (function, scheme) variant,
 // across output formats and all five standard rounding modes, for
 // requests small enough to be coalesced and large enough to be split.
-// Concurrency is pinned by a multi-submitter stress test (run under TSan
-// in CI) plus backpressure, flush, and shutdown-ordering cases.
+// Concurrency is pinned by a multi-submitter stress test and a
+// lost-wakeup stress test (both run under TSan in CI) plus backpressure,
+// flush, and shutdown-ordering cases.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <future>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -66,10 +69,9 @@ void expectExact(const Result &Res, const Request &R) {
 }
 
 TEST(ServeTest, DifferentialParityAllVariantsFormatsModes) {
-  // Small per-variant spans with a long flush deadline, so requests for
-  // the same variant coalesce; exactness must survive that.
+  // One small span per variant, all in flight at once over two workers.
   std::vector<float> Pool = stridedInputs(50000017); // ~86 inputs, specials too
-  Server S({.Threads = 2, .TargetBatchElems = 512, .FlushDeadlineUs = 2000});
+  Server S({.Threads = 2});
   const FPFormat Formats[] = {FPFormat::float32(), FPFormat::bfloat16(),
                               FPFormat::tensorfloat32(), FPFormat::withBits(27)};
   std::vector<std::pair<Request, std::future<Result>>> Outstanding;
@@ -112,11 +114,12 @@ TEST(ServeTest, AllFiveModesOnOneVariant) {
 }
 
 TEST(ServeTest, CoalescesSmallRequestsIntoWideBatches) {
-  // Many tiny single-function requests with a generous deadline: the mean
-  // batch width must comfortably exceed the per-request size (this is the
-  // same property the CI smoke guard checks end to end via bench_serve).
+  // Many tiny single-function requests submitted back to back to one
+  // worker: requests that arrive while it is busy leave together, so the
+  // mean batch width must exceed the per-request size (the same property
+  // the CI smoke guard checks end to end via bench_serve).
   std::vector<float> Pool = stridedInputs(9000011);
-  Server S({.Threads = 1, .TargetBatchElems = 64, .FlushDeadlineUs = 5000});
+  Server S({.Threads = 1});
   std::vector<std::future<Result>> Futs;
   const size_t ReqSize = 4;
   for (size_t At = 0; At + ReqSize <= Pool.size(); At += ReqSize) {
@@ -139,7 +142,7 @@ TEST(ServeTest, ConcurrentSubmittersBitExact) {
   // deliver scalar-core-exact results. This is the test CI runs under
   // TSan for the synchronization story.
   std::vector<float> Pool = stridedInputs(30000001);
-  Server S({.Threads = 2, .TargetBatchElems = 128, .FlushDeadlineUs = 100});
+  Server S({.Threads = 2});
   constexpr int NumThreads = 4, ReqsPerThread = 40;
   std::vector<std::thread> Threads;
   std::vector<int> Failures(NumThreads, 0);
@@ -177,7 +180,7 @@ TEST(ServeTest, OversizedRequestSplitsAcrossBatches) {
   // A request bigger than MaxBatchElems is served by several kernel
   // invocations scattering into one result; still exact, still one future.
   std::vector<float> Pool = stridedInputs(2000003);
-  Server S({.Threads = 2, .MaxBatchElems = 256, .TargetBatchElems = 128});
+  Server S({.Threads = 2, .MaxBatchElems = 256});
   Request R;
   R.Key.Func = ElemFunc::Exp10;
   R.Key.Scheme = EvalScheme::Estrin;
@@ -191,11 +194,7 @@ TEST(ServeTest, BackpressureBoundsTheQueue) {
   // A capacity smaller than the offered load: submits block instead of
   // growing the queue without bound, and everything still completes.
   std::vector<float> Pool = stridedInputs(9000011);
-  Server S({.Threads = 1,
-            .QueueCapacityElems = 64,
-            .MaxBatchElems = 32,
-            .TargetBatchElems = 32,
-            .FlushDeadlineUs = 50});
+  Server S({.Threads = 1, .QueueCapacityElems = 64, .MaxBatchElems = 32});
   std::vector<std::future<Result>> Futs;
   for (int I = 0; I < 100; ++I) {
     Request R;
@@ -214,40 +213,104 @@ TEST(ServeTest, BackpressureBoundsTheQueue) {
   }
 }
 
+/// Requests over several (function, scheme) variants; R.In views \p Pool.
+std::vector<Request> variedRequests(const std::vector<float> &Pool, int Count) {
+  const ElemFunc Funcs[] = {ElemFunc::Exp, ElemFunc::Log2, ElemFunc::Exp10,
+                            ElemFunc::Log};
+  const EvalScheme Schemes[] = {EvalScheme::Horner, EvalScheme::EstrinFMA};
+  std::vector<Request> Reqs(Count);
+  for (int I = 0; I < Count; ++I) {
+    Reqs[I].Key.Func = Funcs[I % 4];
+    Reqs[I].Key.Scheme = Schemes[I / 4 % 2];
+    Reqs[I].Key.Mode = StandardRoundingModes[I % 5];
+    Reqs[I].In = Pool.data();
+    Reqs[I].N = Pool.size();
+  }
+  return Reqs;
+}
+
 TEST(ServeTest, FlushDrainsEverythingQueued) {
-  std::vector<float> Pool = stridedInputs(40000007);
-  // Deadline and target both far away: only flush() can drain these.
-  Server S({.Threads = 1,
-            .TargetBatchElems = size_t(1) << 20,
-            .FlushDeadlineUs = 60u * 1000u * 1000u});
-  Request R;
-  R.Key.Func = ElemFunc::Log2;
-  R.Key.Scheme = EvalScheme::EstrinFMA;
-  R.In = Pool.data();
-  R.N = Pool.size();
-  std::future<Result> Fut = S.submit(R);
-  EXPECT_NE(Fut.wait_for(std::chrono::milliseconds(30)),
-            std::future_status::ready);
+  // One worker and a backlog over eight variants: when flush() returns,
+  // every future submitted before it is ready.
+  std::vector<float> Pool = stridedInputs(4000037); // ~1074 inputs
+  Server S({.Threads = 1});
+  std::vector<Request> Reqs = variedRequests(Pool, 64);
+  std::vector<std::future<Result>> Futs;
+  for (const Request &R : Reqs)
+    Futs.push_back(S.submit(R));
   S.flush();
-  ASSERT_EQ(Fut.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  expectExact(Fut.get(), R);
+  for (size_t I = 0; I < Reqs.size(); ++I) {
+    ASSERT_EQ(Futs[I].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "request " << I;
+    expectExact(Futs[I].get(), Reqs[I]);
+  }
 }
 
 TEST(ServeTest, ShutdownFulfillsQueuedRequests) {
-  std::vector<float> Pool = stridedInputs(40000007);
-  std::future<Result> Fut;
-  Request R;
-  R.Key.Func = ElemFunc::Exp2;
-  R.Key.Scheme = EvalScheme::Horner;
-  R.In = Pool.data();
-  R.N = Pool.size();
+  // More work than one worker drains before the destructor runs: the
+  // destructor must drain the backlog, not drop it.
+  std::vector<float> Pool = stridedInputs(4000037);
+  std::vector<Request> Reqs = variedRequests(Pool, 64);
+  std::vector<std::future<Result>> Futs;
   {
-    Server S({.Threads = 1,
-              .TargetBatchElems = size_t(1) << 20,
-              .FlushDeadlineUs = 60u * 1000u * 1000u});
-    Fut = S.submit(R);
-  } // destructor must drain, not drop
-  expectExact(Fut.get(), R);
+    Server S({.Threads = 1});
+    for (const Request &R : Reqs)
+      Futs.push_back(S.submit(R));
+  }
+  for (size_t I = 0; I < Reqs.size(); ++I)
+    expectExact(Futs[I].get(), Reqs[I]);
+}
+
+TEST(ServeTest, NoLostWakeups) {
+  // submit() notifies only a parked worker no earlier notify targets,
+  // and a worker may spin before it parks. A miscount there strands a
+  // request with every worker asleep, so each round trip must finish
+  // promptly. Random pauses meet a worker busy, spinning or about to stop
+  // spinning; every 64th outlasts the spin, so the worker parks and must
+  // be woken.
+  std::vector<float> Pool = stridedInputs(40000007);
+  auto roundTrips = [&](Server &S, int Count, unsigned Seed) {
+    std::mt19937 Rng(Seed);
+    std::uniform_int_distribution<int> PauseUs(0, 50);
+    std::uniform_int_distribution<int> ParkPauseUs(IdleSpinUs,
+                                                   IdleSpinUs + 200);
+    int Stuck = 0;
+    for (int I = 0; I < Count; ++I) {
+      Request R;
+      R.Key.Func = AllElemFuncs[I % 6];
+      R.Key.Scheme = EvalScheme::EstrinFMA;
+      R.In = Pool.data() + I % 64;
+      R.N = 1 + I % 4;
+      std::future<Result> Fut = S.submit(R);
+      if (Fut.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+        ++Stuck;
+        break;
+      }
+      Fut.get();
+      // Spin rather than sleep: sleeps round up to the timer slack.
+      auto Until = std::chrono::steady_clock::now() +
+                   std::chrono::microseconds(I % 64 == 63 ? ParkPauseUs(Rng)
+                                                          : PauseUs(Rng));
+      while (std::chrono::steady_clock::now() < Until) {
+      }
+    }
+    return Stuck;
+  };
+  for (unsigned Threads : {1u, 2u}) {
+    Server S({.Threads = Threads});
+    EXPECT_EQ(roundTrips(S, 20000, Threads), 0) << Threads << " worker(s)";
+  }
+  Server S({.Threads = 2});
+  constexpr int NumSubmitters = 4;
+  std::vector<int> Stuck(NumSubmitters, 0);
+  std::vector<std::thread> Submitters;
+  for (int T = 0; T < NumSubmitters; ++T)
+    Submitters.emplace_back([&, T] { Stuck[T] = roundTrips(S, 5000, 10 + T); });
+  for (std::thread &T : Submitters)
+    T.join();
+  for (int T = 0; T < NumSubmitters; ++T)
+    EXPECT_EQ(Stuck[T], 0) << "submitter " << T;
 }
 
 TEST(ServeTest, UnavailableVariantAndEmptyRequest) {
