@@ -969,48 +969,6 @@ GeneratedImpl PolyGenerator::generate(EvalScheme S) {
   return Impl; // Success == false.
 }
 
-namespace {
-/// Compat shim for the deprecated LogFn overloads: forwards "polygen"
-/// messages to the callback for the duration of the call, and raises the
-/// threshold to Info so old callers keep seeing their progress strings
-/// without setting RFP_LOG_LEVEL.
-struct LogFnShim {
-  LogLevel Saved;
-  telemetry::ScopedLogSink Sink;
-
-  explicit LogFnShim(PolyGenerator::LogFn Log)
-      : Saved(telemetry::logLevel()),
-        Sink([Log = std::move(Log)](LogLevel, const char *Component,
-                                    const std::string &Msg) {
-          if (std::strcmp(Component, "polygen") == 0)
-            Log(Msg);
-        }) {
-    if (static_cast<int>(Saved) < static_cast<int>(LogLevel::Info))
-      telemetry::setLogLevel(LogLevel::Info);
-  }
-  ~LogFnShim() { telemetry::setLogLevel(Saved); }
-};
-} // namespace
-
-// Silence the self-referential deprecation warnings: these *are* the
-// deprecated entry points.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-void PolyGenerator::prepare(LogFn Log) {
-  if (!Log)
-    return prepare();
-  LogFnShim Shim(std::move(Log));
-  prepare();
-}
-
-GeneratedImpl PolyGenerator::generate(EvalScheme S, LogFn Log) {
-  if (!Log)
-    return generate(S);
-  LogFnShim Shim(std::move(Log));
-  return generate(S);
-}
-#pragma GCC diagnostic pop
-
 std::vector<IntervalConstraint> PolyGenerator::exportLPConstraints() const {
   assert(Prepared && "call prepare() first");
   std::vector<IntervalConstraint> Out;

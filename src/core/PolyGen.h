@@ -40,7 +40,6 @@
 #include "support/ElemFunc.h"
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -232,16 +231,6 @@ public:
   /// On failure the generator may be half-prepared; use a fresh instance.
   bool prepareFromShards(const std::string &Dir, unsigned M = 0,
                          std::string *Err = nullptr);
-
-  // --- Deprecated LogFn compat shims (one release). ---------------------
-  // The callback API predates the telemetry logger. The shims install a
-  // temporary sink forwarding "polygen" messages to the callback, so old
-  // callers keep seeing their progress strings.
-  using LogFn = std::function<void(const std::string &)>;
-  [[deprecated("use prepare() with a telemetry log sink")]] void
-  prepare(LogFn Log);
-  [[deprecated("use generate(S) with a telemetry log sink")]] GeneratedImpl
-  generate(EvalScheme S, LogFn Log);
 
   /// The Section 6.3 experiment: evaluate \p Base's polynomials under
   /// scheme \p S *without* re-running the loop (naive post-process

@@ -88,8 +88,9 @@ inline void log10_batch(const float *In, double *H, size_t N,
   evalBatch(ElemFunc::Log10, S, In, H, N);
 }
 
-/// float32 round-to-nearest convenience wrappers (Estrin+FMA variant): the
-/// array analogues of rfp_expf and friends in rlibm.h.
+/// float32 round-to-nearest convenience wrappers (Estrin+FMA variant):
+/// `(float)` of each H, the array analogue of rfp::eval with the default
+/// VariantKey fields.
 void rfp_expf_batch(const float *In, float *Out, size_t N);
 void rfp_exp2f_batch(const float *In, float *Out, size_t N);
 void rfp_exp10f_batch(const float *In, float *Out, size_t N);

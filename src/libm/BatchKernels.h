@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Internal interface between the batch dispatcher (Batch.cpp), the
-/// ISA-specific kernel translation units (BatchKernelsAVX2.cpp,
-/// BatchKernelsAVX512.cpp, BatchKernelsNEON.cpp), and the SIMD-friendly
+/// ISA-specific kernel translation units (BatchKernelsAVX2.cpp and
+/// BatchKernelsAVX512.cpp over the shared BatchKernelBody.h, and
+/// BatchKernelsNEON.cpp), and the SIMD-friendly
 /// coefficient layout emitted by tools/polygen into
 /// src/libm/generated/<Func>Batch.inc. Nothing here is public API; consumers
 /// use libm/Batch.h.

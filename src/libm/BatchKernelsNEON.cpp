@@ -4,21 +4,25 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// NEON (Advanced SIMD) kernels for the batch API on aarch64: the AVX2
-// kernels' structure at two double lanes. NEON is baseline on aarch64, so
-// there is no CPUID gate and no per-TU ISA flags; what this TU buys over
-// the scalar loop is the elimination of per-element call overhead and the
-// two-lane ILP of the reduction and polynomial pipelines. There are no
-// gather instructions -- the per-piece coefficient and table fetches are
-// two scalar loads folded back into a vector register (gather2 below),
-// which is also how a hand-written aarch64 loop would compile.
+// NEON (Advanced SIMD) kernels for the batch API on aarch64: the x86
+// kernels' structure (the shared body in BatchKernelBody.h) at two double
+// lanes, written out here because no aarch64 toolchain builds this
+// project in CI to check a NEON traits struct for that body. NEON is
+// baseline on aarch64, so there is no CPUID gate and no per-TU ISA flags;
+// what this TU buys over the scalar loop is the elimination of
+// per-element call overhead and the two-lane ILP of the reduction and
+// polynomial pipelines. There are no gather instructions -- the per-piece
+// coefficient and table fetches are two scalar loads folded back into a
+// vector register (gather2 below), which is also how a hand-written
+// aarch64 loop would compile.
 //
-// Bit-identity with the scalar cores is the same argument as the AVX2
-// file: fallback lanes call the scalar core itself; vector lanes mirror
-// the compiled operation sequence (every A + B*x is one fmla/fmls, IEEE
-// per-lane semantics are width-invariant). One honest caveat: the mirrors
+// Bit-identity with the scalar cores is the same argument as the shared
+// body's (BatchKernelBody.h): fallback lanes call the scalar core itself;
+// vector lanes mirror the compiled operation sequence (every A + B*x is
+// one fmla/fmls, IEEE per-lane semantics are width-invariant). One honest
+// caveat: the mirrors
 // -- in particular the Knuth kernels' FMA-contraction map, documented at
-// knuthEvalV in BatchKernelsAVX2.cpp -- were read off GCC's x86 output,
+// knuthEvalV in BatchKernelBody.h -- were read off GCC's x86 output,
 // and this project's CI cannot execute aarch64 code to re-check them. The
 // dispatcher therefore always runs the *full* one-time parity probe on
 // NEON (Batch.cpp, neonSet): every vector kernel is swept against the
@@ -27,7 +31,7 @@
 // contraction choices differ costs throughput on the affected variants,
 // never correctness.
 //
-// Like the other kernel TUs, everything here is namespace-local with its
+// Like the x86 kernels, everything here is namespace-local with its
 // own internal-linkage includes of the generated tables, bound as
 // constant-expression template arguments so table-shape branches fold.
 //
@@ -203,7 +207,8 @@ template <const BatchSchemeTable &B> constexpr unsigned maxDegreeOf() {
   return M;
 }
 
-/// Same exact-padding proof as the AVX2 file (see padIsExact there).
+/// Same exact-padding proof as the shared body (see padIsExact in
+/// BatchKernelBody.h).
 template <const BatchSchemeTable &B> constexpr bool padIsExact() {
   unsigned M = maxDegreeOf<B>();
   for (int P = 0; P < B.NumPieces; ++P) {
@@ -258,9 +263,10 @@ struct VecRed {
   uint64x2_t Ok;
 };
 
-/// exp / exp10 (mirrors reduceExpKind; see the AVX2 file for the llround
-/// emulation argument -- vrndnq rounds to nearest-even, std::llround away
-/// from zero, so exact-halfway lanes get a +-1 adjustment).
+/// exp / exp10 (mirrors reduceExpKind; see BatchKernelBody.h for the
+/// llround emulation argument -- vrndnq rounds to nearest-even,
+/// std::llround away from zero, so exact-halfway lanes get a +-1
+/// adjustment).
 template <ElemFunc F>
 inline VecRed reduceExpKindV(float64x2_t Xd) {
   constexpr bool IsExp = F == ElemFunc::Exp;
@@ -324,8 +330,8 @@ inline VecRed reduceExp2V(float64x2_t Xd) {
   return R;
 }
 
-/// log family (mirrors reduceLogKind) for positive normal inputs; see the
-/// AVX2 file for the exactness argument.
+/// log family (mirrors reduceLogKind) for positive normal inputs; see
+/// BatchKernelBody.h for the exactness argument.
 inline VecRed reduceLogKindV(int32x2_t Bits) {
   uint32x2_t Ok32 =
       vand_u32(vcgt_s32(Bits, vdup_n_s32(0x007fffff)),
@@ -374,8 +380,8 @@ inline int32x2_t pieceIndexV(float64x2_t T, int NumPieces) {
   return Pi;
 }
 
-/// outputCompensate as compiled; operation order identical to the AVX2
-/// file (and hence the scalar cores).
+/// outputCompensate as compiled; operation order identical to the shared
+/// x86 body (and hence the scalar cores).
 template <ElemFunc F>
 inline float64x2_t compensateV(float64x2_t PolyVal, const VecRed &R) {
   if constexpr (isExpFamily(F)) {
@@ -402,7 +408,7 @@ inline float64x2_t compensateV(float64x2_t PolyVal, const VecRed &R) {
 // Knuth adapted forms
 //===----------------------------------------------------------------------===//
 
-/// Adapted coefficient I per lane: see kcoeff in BatchKernelsAVX2.cpp.
+/// Adapted coefficient I per lane: see kcoeff in BatchKernelBody.h.
 template <const SchemeTable &T>
 inline float64x2_t kcoeff(int I, uint64x2_t PieceOneM) {
   if constexpr (T.NumPieces == 1) {
@@ -423,7 +429,7 @@ template <const SchemeTable &T> constexpr unsigned knuthDegree() {
 }
 
 /// evalKnuthOps as compiled, two lanes, with the x86-derived contraction
-/// map documented at knuthEvalV in BatchKernelsAVX2.cpp. If an aarch64
+/// map documented at knuthEvalV in BatchKernelBody.h. If an aarch64
 /// compiler contracts the scalar adapted forms differently, the full
 /// parity probe demotes the affected kernel at resolution time.
 template <ElemFunc F, const SchemeTable &T>

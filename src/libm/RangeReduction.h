@@ -75,7 +75,7 @@ inline constexpr double ReducedMinExp10 =
 inline constexpr double ReducedMaxExp10 = 0x1.34413509f79ffp-7;
 
 /// Special-path thresholds of the exp-family reductions, named so the SIMD
-/// batch kernels (libm/BatchKernelsAVX2.cpp) and the scalar reducers below
+/// batch kernels (libm/BatchKernelBody.h) and the scalar reducers below
 /// compare against the exact same constants: the batch layer's bit-identity
 /// invariant requires both sides to classify every input identically.
 inline constexpr double ExpHugeThreshold = 0x1.62e42fefa39efp+6; // 128*ln2

@@ -52,7 +52,7 @@
 /// rounding of the result and is entirely independent of fesetround.
 ///
 /// Legacy tiers: the free functions in rlibm.h (`exp_estrin_fma`,
-/// `rfp_expf`, `evalCore`) and the raw array entry points in Batch.h
+/// `evalCore`) and the raw array entry points in Batch.h
 /// remain as thin shims -- the cores are still the implementation
 /// substrate and what the paper benchmarks -- but new code should use
 /// this header (see DESIGN.md, "Unified public API", for the deprecation

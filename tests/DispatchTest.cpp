@@ -4,9 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EvalFloat32.h"
 #include "libm/Batch.h"
-// This TU is a parity referee for the deprecated wrapper tier.
-#define RFP_NO_DEPRECATE
 #include "libm/rlibm.h"
 #include "support/Telemetry.h"
 
@@ -80,9 +79,9 @@ TEST(DispatchTest, SchemesAgreeOnRoundedResults) {
 }
 
 TEST(DispatchTest, WrapperParity) {
-  // The naming-policy contract from rlibm.h: every rfp_<func>f wrapper is
-  // exactly `(float)<func>_estrin_fma(x)` -- same core, float32
-  // nearest-even via the cast, no extra logic allowed to creep in.
+  // rfp::eval with the default VariantKey fields is exactly
+  // `(float)<func>_estrin_fma(x)` -- same core, and the integer float32
+  // nearest-even rounding agrees with the hardware cast.
   std::mt19937_64 Rng(7);
   for (int T = 0; T < 4000; ++T) {
     float X;
@@ -97,20 +96,13 @@ TEST(DispatchTest, WrapperParity) {
         return true;
       return BA == BB;
     };
-    EXPECT_TRUE(SameBits(rfp_expf(X), static_cast<float>(exp_estrin_fma(X))))
-        << "x=" << X;
-    EXPECT_TRUE(SameBits(rfp_exp2f(X), static_cast<float>(exp2_estrin_fma(X))))
-        << "x=" << X;
-    EXPECT_TRUE(
-        SameBits(rfp_exp10f(X), static_cast<float>(exp10_estrin_fma(X))))
-        << "x=" << X;
-    EXPECT_TRUE(SameBits(rfp_logf(X), static_cast<float>(log_estrin_fma(X))))
-        << "x=" << X;
-    EXPECT_TRUE(SameBits(rfp_log2f(X), static_cast<float>(log2_estrin_fma(X))))
-        << "x=" << X;
-    EXPECT_TRUE(
-        SameBits(rfp_log10f(X), static_cast<float>(log10_estrin_fma(X))))
-        << "x=" << X;
+    const double Cores[6] = {exp_estrin_fma(X),  exp2_estrin_fma(X),
+                             exp10_estrin_fma(X), log_estrin_fma(X),
+                             log2_estrin_fma(X),  log10_estrin_fma(X)};
+    for (int FI = 0; FI < 6; ++FI)
+      EXPECT_TRUE(SameBits(test::evalFloat32(AllElemFuncs[FI], X),
+                           static_cast<float>(Cores[FI])))
+          << elemFuncName(AllElemFuncs[FI]) << " x=" << X;
   }
 }
 
@@ -211,7 +203,8 @@ TEST(DispatchTest, InverseFunctionPairsRoundTrip) {
   std::uniform_real_distribution<float> Dist(0.001f, 1000.0f);
   for (int T = 0; T < 300; ++T) {
     float X = Dist(Rng);
-    float RoundTrip = rfp_exp2f(rfp_log2f(X));
+    float RoundTrip = test::evalFloat32(
+        ElemFunc::Exp2, test::evalFloat32(ElemFunc::Log2, X));
     EXPECT_NEAR(RoundTrip, X, std::fabs(X) * 4e-7f) << X;
   }
 }

@@ -13,8 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-// This TU is a parity referee for the deprecated wrapper tier.
-#define RFP_NO_DEPRECATE
+#include "EvalFloat32.h"
 #include "libm/rlibm.h"
 
 #include "oracle/Oracle.h"
@@ -182,12 +181,16 @@ INSTANTIATE_TEST_SUITE_P(All24, LibmCorrectnessTest,
 
 TEST(LibmApiTest, ConvenienceWrappersMatchCores) {
   for (float X : {0.5f, -3.25f, 17.1f, 1e-20f}) {
-    EXPECT_EQ(rfp_exp2f(X), static_cast<float>(exp2_estrin_fma(X)));
-    EXPECT_EQ(rfp_expf(X), static_cast<float>(exp_estrin_fma(X)));
+    EXPECT_EQ(test::evalFloat32(ElemFunc::Exp2, X),
+              static_cast<float>(exp2_estrin_fma(X)));
+    EXPECT_EQ(test::evalFloat32(ElemFunc::Exp, X),
+              static_cast<float>(exp_estrin_fma(X)));
   }
   for (float X : {0.5f, 3.25f, 17.1f, 1e20f}) {
-    EXPECT_EQ(rfp_logf(X), static_cast<float>(log_estrin_fma(X)));
-    EXPECT_EQ(rfp_log10f(X), static_cast<float>(log10_estrin_fma(X)));
+    EXPECT_EQ(test::evalFloat32(ElemFunc::Log, X),
+              static_cast<float>(log_estrin_fma(X)));
+    EXPECT_EQ(test::evalFloat32(ElemFunc::Log10, X),
+              static_cast<float>(log10_estrin_fma(X)));
   }
 }
 

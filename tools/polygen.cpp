@@ -467,9 +467,8 @@ int main(int Argc, char **Argv) {
   if (BatchOnly)
     return emitBatchFromCommitted(Funcs);
 
-  // Progress used to arrive through the LogFn callback; it now flows
-  // through the telemetry logger. Keep the tool chatty by default, but let
-  // an explicit RFP_LOG_LEVEL win.
+  // Progress flows through the telemetry logger. Keep the tool chatty by
+  // default, but let an explicit RFP_LOG_LEVEL win.
   if (!std::getenv("RFP_LOG_LEVEL"))
     telemetry::setLogLevel(telemetry::LogLevel::Info);
 
